@@ -81,8 +81,10 @@ const MAX_VERIFIED_WALL_VS_ENGINE: f64 = 1.02;
 /// compile, one linear plan lint per plan key) that do not shrink with
 /// the simulated instruction count. The `--quick` smoke's engine wall is
 /// tens of milliseconds, where that fixed cost would otherwise dominate
-/// the ratio; at the committed `--scale 1.0` artifact the 2% ratio is
-/// the binding constraint.
+/// the ratio. At `--scale 1.0` the 2% ratio does not bind either: seven
+/// interleaved runs on a 2-vCPU host put the verified row at a median
+/// 1.06× (range 0.91–1.09×) of the verify-off engine wall, 0.224 s
+/// against 0.212 s, so the row passes through this grace.
 const VERIFIED_WALL_GRACE_SECONDS: f64 = 0.25;
 
 /// Ceiling for the traced matrix row's wall clock, as a multiple of the

@@ -86,6 +86,45 @@ fn traced_run_writes_a_wellformed_nonempty_chrome_trace() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// The span names a `--trace` run with `extra` flags records.
+fn traced_span_names(name: &str, extra: &[&str]) -> Vec<String> {
+    let trace = temp_path(name);
+    let mut args: Vec<&str> = SMALL.to_vec();
+    args.extend(extra);
+    args.extend(["--trace", trace.to_str().expect("temp path is utf-8")]);
+    let run = repro(&args);
+    assert_eq!(run.code, 0, "stderr:\n{}", run.stderr);
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let _ = std::fs::remove_file(&trace);
+    let doc = sdiq_core::persist::parse(text.trim_end()).expect("trace parses as JSON");
+    doc.get("traceEvents")
+        .expect("traceEvents key")
+        .arr()
+        .expect("traceEvents is an array")
+        .iter()
+        .filter_map(|e| e.get("name").ok().and_then(|n| n.str().ok()))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn plan_misses_trace_execute_lower_and_lint_stages() {
+    let verified = traced_span_names("verified-trace.json", &["--verify"]);
+    for stage in ["lower-plan", "execute", "lower", "lint-plan"] {
+        assert!(
+            verified.iter().any(|n| n == stage),
+            "{stage} spans missing: {verified:?}"
+        );
+    }
+    // The lint stage exists only when verification runs.
+    let unverified = traced_span_names("unverified-trace.json", &["--no-verify"]);
+    assert!(unverified.iter().any(|n| n == "execute"));
+    assert!(
+        !unverified.iter().any(|n| n == "lint-plan"),
+        "lint-plan span without verification: {unverified:?}"
+    );
+}
+
 #[test]
 fn traced_save_is_byte_identical_to_untraced() {
     let traced_save = temp_path("traced-save.json");
@@ -152,6 +191,9 @@ fn stats_view_prints_the_metrics_registry_only_when_asked() {
         run.stdout
     );
     assert!(run.stdout.contains("cells_done"), "stdout:\n{}", run.stdout);
+    for stage in ["plan_execute_nanos", "plan_lower_nanos", "plan_lint_nanos"] {
+        assert!(run.stdout.contains(stage), "stdout:\n{}", run.stdout);
+    }
     assert!(
         run.stdout.contains("cache_hit_rate"),
         "stdout:\n{}",

@@ -37,6 +37,7 @@
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
 use sdiq_isa::{Executor, Program};
+use sdiq_obs::Histogram;
 use sdiq_sim::{ExecPlan, SimConfig};
 use sdiq_verify::{has_errors, lint_plan, verify_compiled, Severity, StandardVerifier};
 use sdiq_workloads::Benchmark;
@@ -44,7 +45,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Content address of one built benchmark program: the benchmark plus the
 /// exact bit pattern of the scale factor (quantising would alias distinct
@@ -181,6 +182,16 @@ fn slot<K: Eq + Hash + Copy, V>(
         .clone()
 }
 
+/// Runs one stage of a plan build under its own span (nested in the
+/// `lower-plan` span) and records its wall time in `histogram`.
+fn stage<T>(name: &'static str, histogram: &Histogram, work: impl FnOnce() -> T) -> T {
+    let _span = sdiq_obs::span(name, "cache");
+    let start = Instant::now();
+    let out = work();
+    histogram.observe(start.elapsed().as_nanos() as u64);
+    out
+}
+
 impl ArtifactCache {
     /// Creates an empty cache. Verification defaults to on in debug builds
     /// (and therefore under `cargo test`) and off in release builds.
@@ -289,13 +300,20 @@ impl ArtifactCache {
             metrics.cache_plan_misses.inc();
             let _span = sdiq_obs::span("lower-plan", "cache");
             self.plan_builds.fetch_add(1, Ordering::Relaxed);
-            let trace = match Executor::new(&program).run(key.max_dynamic_instructions) {
+            let trace = stage("execute", &metrics.plan_execute_nanos, || {
+                Executor::new(&program).run(key.max_dynamic_instructions)
+            });
+            let trace = match trace {
                 Ok(trace) => trace,
                 Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
             };
-            let plan = ExecPlan::build(key.sim_config, &program, &trace);
+            let plan = stage("lower", &metrics.plan_lower_nanos, || {
+                ExecPlan::build(key.sim_config, &program, &trace)
+            });
             if self.verify_enabled() {
-                let diags = lint_plan(&plan, &program, &trace);
+                let diags = stage("lint-plan", &metrics.plan_lint_nanos, || {
+                    lint_plan(&plan, &program, &trace)
+                });
                 if has_errors(&diags) {
                     let listing: Vec<String> = diags.iter().map(ToString::to_string).collect();
                     panic!("execution plan failed lint:\n  {}", listing.join("\n  "));

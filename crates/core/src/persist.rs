@@ -395,15 +395,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary and is
+                    // valid UTF-8 on its own.
+                    let start = self.pos;
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |len| start + len);
+                    let run = std::str::from_utf8(&self.bytes[start..end])
                         .map_err(|_| self.error("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.error("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -1042,6 +1045,50 @@ mod tests {
         let mut rendered = String::new();
         parsed.render(&mut rendered);
         assert_eq!(parse(&rendered).unwrap(), parsed);
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_scalars_beside_escapes() {
+        // 2-, 3- and 4-byte scalars directly against escapes, control
+        // characters (rendered as `\u` sequences) and the delimiters.
+        let samples = [
+            "é\"ü\\ß",
+            "\n€中\t\u{1}",
+            "😀\\😀\"𝄞",
+            "\u{1f}é€😀\r",
+            "",
+            "plain ascii",
+        ];
+        for sample in samples {
+            let mut rendered = String::new();
+            Json::Str(sample.to_string()).render(&mut rendered);
+            assert_eq!(parse(&rendered).unwrap().str(), Ok(sample));
+        }
+        // `\u` escapes decode to the same scalars a raw run carries.
+        let parsed = parse(r#""\u00e9é\u20ac€\u0041\"\/""#).unwrap();
+        assert_eq!(parsed.str(), Ok("éé€€A\"/"));
+        assert!(
+            parse("\"é€😀").is_err(),
+            "unterminated after a multibyte run"
+        );
+    }
+
+    #[test]
+    fn large_multi_cell_document_round_trips() {
+        let report = Experiment {
+            scale: 0.02,
+            ..Experiment::paper()
+        }
+        .run(Benchmark::Gzip, Technique::Noop);
+        let cells: BTreeMap<String, RunReport> = (0..400)
+            .map(|i| (format!("cell-{i}-é€😀\\\"{i}"), report.clone()))
+            .collect();
+        let text = save_cells(&cells);
+        let loaded = load_cells(&text).unwrap();
+        assert_eq!(loaded.len(), cells.len());
+        for (key, cell) in &cells {
+            assert_eq!(loaded.get(key), Some(cell), "{key} must round-trip");
+        }
     }
 
     #[test]

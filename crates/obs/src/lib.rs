@@ -458,6 +458,13 @@ pub struct Metrics {
     pub sim_instructions: Counter,
     /// Per-cell wall time, nanoseconds.
     pub cell_wall_nanos: Histogram,
+    /// Functional execution per `ArtifactCache` plan miss, nanoseconds.
+    pub plan_execute_nanos: Histogram,
+    /// Plan lowering per `ArtifactCache` plan miss, nanoseconds.
+    pub plan_lower_nanos: Histogram,
+    /// Plan lint per `ArtifactCache` plan miss with verification on,
+    /// nanoseconds.
+    pub plan_lint_nanos: Histogram,
     /// Cells appended to a checkpoint file.
     pub checkpoint_appends: Counter,
     /// Batches submitted to remote workers by the scheduler.
@@ -507,6 +514,13 @@ impl Metrics {
                 value: SampleValue::Counter(c.get()),
             }
         }
+        fn nanos(name: &'static str, h: &Histogram) -> Sample {
+            Sample {
+                name,
+                unit: "ns",
+                value: SampleValue::Histogram(h.snapshot()),
+            }
+        }
         vec![
             counter("cache_program_hits", "programs", &self.cache_program_hits),
             counter(
@@ -529,11 +543,10 @@ impl Metrics {
                 value: SampleValue::Gauge(self.cells_in_flight.get()),
             },
             counter("sim_instructions", "instructions", &self.sim_instructions),
-            Sample {
-                name: "cell_wall_nanos",
-                unit: "ns",
-                value: SampleValue::Histogram(self.cell_wall_nanos.snapshot()),
-            },
+            nanos("cell_wall_nanos", &self.cell_wall_nanos),
+            nanos("plan_execute_nanos", &self.plan_execute_nanos),
+            nanos("plan_lower_nanos", &self.plan_lower_nanos),
+            nanos("plan_lint_nanos", &self.plan_lint_nanos),
             counter("checkpoint_appends", "cells", &self.checkpoint_appends),
             counter("batches_issued", "batches", &self.batches_issued),
             counter("speculation_issued", "cells", &self.speculation_issued),

@@ -23,12 +23,119 @@
 
 use crate::diag::{codes, Diagnostic};
 use sdiq_isa::exec::DATA_BASE;
-use sdiq_isa::{Program, Trace};
+use sdiq_isa::{FuClass, InstrLoc, Instruction, Program, Trace};
 use sdiq_sim::plan::{dense_arch, flag, ExecPlan, NO_REG};
 
 /// Per-record diagnostics stop after this many findings; corrupted plans
 /// tend to fail on every record and a bounded report reads better.
 const MAX_RECORD_DIAGS: usize = 25;
+
+/// How a static instruction decides its record's `ENDS_GROUP` flag.
+#[derive(Debug, Clone, Copy)]
+enum GroupEnd {
+    /// Not a control transfer: never ends the fetch group.
+    Never,
+    /// Unconditional control transfer: always ends it.
+    Always,
+    /// Conditional branch: ends it when taken.
+    IfTaken,
+}
+
+/// Everything `PLAN002` expects of one static instruction's records.
+#[derive(Debug, Clone, Copy)]
+struct Expected {
+    dest: u16,
+    srcs: [u16; 2],
+    fu: FuClass,
+    latency: u8,
+    hint: u8,
+    /// The flags that are a pure function of the instruction: `HAS_HINT`,
+    /// `IS_HINT`, `IS_LOAD` and `IS_STORE`.
+    flags: u16,
+    group_end: GroupEnd,
+}
+
+impl Expected {
+    fn of(inst: &Instruction) -> Expected {
+        let mut srcs = [NO_REG; 2];
+        for (slot, src) in srcs.iter_mut().zip(inst.srcs.iter()) {
+            if let Some(arch) = src {
+                *slot = dense_arch(*arch);
+            }
+        }
+        let mut flags = 0;
+        if inst.iq_hint.is_some() {
+            flags |= flag::HAS_HINT;
+        }
+        if inst.is_hint_noop() {
+            flags |= flag::IS_HINT;
+        }
+        if inst.opcode.is_load() {
+            flags |= flag::IS_LOAD;
+        }
+        if inst.opcode.is_store() {
+            flags |= flag::IS_STORE;
+        }
+        Expected {
+            dest: inst.dest.map_or(NO_REG, dense_arch),
+            srcs,
+            fu: inst.opcode.fu_class(),
+            latency: inst.opcode.latency().max(1) as u8,
+            hint: inst.iq_hint.unwrap_or(0),
+            flags,
+            group_end: if inst.opcode.is_cond_branch() {
+                GroupEnd::IfTaken
+            } else if inst.opcode.is_control() {
+                GroupEnd::Always
+            } else {
+                GroupEnd::Never
+            },
+        }
+    }
+}
+
+/// [`Expected`] for every static instruction of a program, in one flat
+/// array indexed by (procedure, block, index) offsets.
+struct ExpectedTable {
+    /// Index into `block_start` of each procedure's first block, plus one
+    /// past the last procedure's.
+    proc_start: Vec<usize>,
+    /// Index into `insts` of each block's first instruction, plus one past
+    /// the last block's.
+    block_start: Vec<usize>,
+    insts: Vec<Expected>,
+}
+
+impl ExpectedTable {
+    fn new(program: &Program) -> ExpectedTable {
+        let mut table = ExpectedTable {
+            proc_start: Vec::with_capacity(program.procedures.len() + 1),
+            block_start: Vec::new(),
+            insts: Vec::with_capacity(program.static_instruction_count()),
+        };
+        for proc in &program.procedures {
+            table.proc_start.push(table.block_start.len());
+            for block in &proc.blocks {
+                table.block_start.push(table.insts.len());
+                table
+                    .insts
+                    .extend(block.instructions.iter().map(Expected::of));
+            }
+        }
+        table.proc_start.push(table.block_start.len());
+        table.block_start.push(table.insts.len());
+        table
+    }
+
+    /// The expectation for `loc`. Panics on a location outside the
+    /// program, as [`Program::instruction`] does.
+    fn get(&self, loc: InstrLoc) -> &Expected {
+        let p = loc.proc.0;
+        let blocks = &self.block_start[self.proc_start[p]..=self.proc_start[p + 1]];
+        let b = loc.block.0;
+        &self.insts[blocks[b]..blocks[b + 1]][loc.index]
+    }
+}
 
 /// Cross-checks `plan` against the `program` and `trace` it was built
 /// from.
@@ -51,6 +158,8 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
         return diags;
     }
 
+    let table = ExpectedTable::new(program);
+    let record_at = |idx: usize| format!("plan `{}` record {idx}", plan.workload());
     let line_bytes = plan.config().l1i.line_bytes as u64;
     let mut last_line: Option<u64> = None;
     let mut record_diags = 0usize;
@@ -58,10 +167,14 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
     let mut broadcasts = 0u64;
     let mut hints = 0u64;
 
-    for (idx, dyn_inst) in trace.committed.iter().enumerate() {
-        let inst = program.instruction(dyn_inst.loc);
-        let rec = &records[idx];
-        let at = format!("plan `{}` record {idx}", plan.workload());
+    for (idx, ((dyn_inst, rec), &mem_addr)) in trace
+        .committed
+        .iter()
+        .zip(records)
+        .zip(mem_addrs)
+        .enumerate()
+    {
+        let expected = table.get(dyn_inst.loc);
 
         // Counters for the PLAN004/PLAN005 identities below.
         if rec.flags & flag::L1I_MISS != 0 {
@@ -74,15 +187,14 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
         }
 
         // PLAN003 — memory stream.
-        if mem_addrs[idx] != dyn_inst.mem_addr.unwrap_or(DATA_BASE) {
+        let expected_mem_addr = dyn_inst.mem_addr.unwrap_or(DATA_BASE);
+        if mem_addr != expected_mem_addr {
             if record_diags < MAX_RECORD_DIAGS {
                 diags.push(Diagnostic::error(
                     codes::PLAN003,
-                    at.clone(),
+                    record_at(idx),
                     format!(
-                        "memory address {:#x} disagrees with the trace's {:#x}",
-                        mem_addrs[idx],
-                        dyn_inst.mem_addr.unwrap_or(DATA_BASE)
+                        "memory address {mem_addr:#x} disagrees with the trace's {expected_mem_addr:#x}"
                     ),
                 ));
             }
@@ -90,48 +202,39 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
         }
 
         // PLAN002 — field round-trip.
-        let mut expected_srcs = [NO_REG; 2];
-        for (slot, src) in expected_srcs.iter_mut().zip(inst.srcs.iter()) {
-            if let Some(arch) = src {
-                *slot = dense_arch(*arch);
-            }
-        }
-        let expected_dest = inst.dest.map_or(NO_REG, dense_arch);
-        let expected_latency = inst.opcode.latency().max(1) as u8;
-        let expected_hint = inst.iq_hint.unwrap_or(0);
         let line = dyn_inst.addr / line_bytes;
         let expected_new_line = last_line != Some(line);
         last_line = Some(line);
-        let expected_ends_group = if inst.opcode.is_cond_branch() {
-            dyn_inst.taken.unwrap_or(false)
-        } else {
-            inst.opcode.is_control()
+        let expected_ends_group = match expected.group_end {
+            GroupEnd::Never => false,
+            GroupEnd::Always => true,
+            GroupEnd::IfTaken => dyn_inst.taken.unwrap_or(false),
         };
+        let static_flags_differ = |bit: u16| (rec.flags ^ expected.flags) & bit != 0;
 
-        let mismatch = if rec.dest != expected_dest {
-            Some(format!("dest {} ≠ expected {expected_dest}", rec.dest))
-        } else if rec.srcs != expected_srcs {
-            Some(format!("srcs {:?} ≠ expected {expected_srcs:?}", rec.srcs))
-        } else if rec.fu != inst.opcode.fu_class() {
+        let mismatch = if rec.dest != expected.dest {
+            Some(format!("dest {} ≠ expected {}", rec.dest, expected.dest))
+        } else if rec.srcs != expected.srcs {
             Some(format!(
-                "fu {:?} ≠ expected {:?}",
-                rec.fu,
-                inst.opcode.fu_class()
+                "srcs {:?} ≠ expected {:?}",
+                rec.srcs, expected.srcs
             ))
-        } else if rec.latency != expected_latency {
+        } else if rec.fu != expected.fu {
+            Some(format!("fu {:?} ≠ expected {:?}", rec.fu, expected.fu))
+        } else if rec.latency != expected.latency {
             Some(format!(
-                "latency {} ≠ expected {expected_latency}",
-                rec.latency
+                "latency {} ≠ expected {}",
+                rec.latency, expected.latency
             ))
-        } else if (rec.flags & flag::HAS_HINT != 0) != inst.iq_hint.is_some() {
+        } else if static_flags_differ(flag::HAS_HINT) {
             Some("HAS_HINT flag disagrees with the instruction's iq_hint".to_string())
-        } else if inst.iq_hint.is_some() && rec.hint != expected_hint {
-            Some(format!("hint {} ≠ expected {expected_hint}", rec.hint))
-        } else if (rec.flags & flag::IS_HINT != 0) != inst.is_hint_noop() {
+        } else if expected.flags & flag::HAS_HINT != 0 && rec.hint != expected.hint {
+            Some(format!("hint {} ≠ expected {}", rec.hint, expected.hint))
+        } else if static_flags_differ(flag::IS_HINT) {
             Some("IS_HINT flag disagrees with the opcode".to_string())
-        } else if (rec.flags & flag::IS_LOAD != 0) != inst.opcode.is_load() {
+        } else if static_flags_differ(flag::IS_LOAD) {
             Some("IS_LOAD flag disagrees with the opcode".to_string())
-        } else if (rec.flags & flag::IS_STORE != 0) != inst.opcode.is_store() {
+        } else if static_flags_differ(flag::IS_STORE) {
             Some("IS_STORE flag disagrees with the opcode".to_string())
         } else if (rec.flags & flag::ENDS_GROUP != 0) != expected_ends_group {
             Some("ENDS_GROUP flag disagrees with the control-flow outcome".to_string())
@@ -144,7 +247,7 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
         };
         if let Some(problem) = mismatch {
             if record_diags < MAX_RECORD_DIAGS {
-                diags.push(Diagnostic::error(codes::PLAN002, at, problem));
+                diags.push(Diagnostic::error(codes::PLAN002, record_at(idx), problem));
             }
             record_diags += 1;
         }

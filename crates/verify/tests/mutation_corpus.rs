@@ -9,8 +9,8 @@
 
 use sdiq_compiler::{CompiledProgram, CompilerPass, Pass, PassConfig, PassManager, PassState};
 use sdiq_isa::reg::int_reg;
-use sdiq_isa::{BlockId, Executor, Instruction, Opcode, Program, Trace};
-use sdiq_sim::plan::{flag, ExecPlan, NO_REG};
+use sdiq_isa::{BlockId, Executor, FuClass, Instruction, Opcode, Program, Trace};
+use sdiq_sim::plan::{flag, ExecPlan, InstRecord, NO_REG};
 use sdiq_sim::SimConfig;
 use sdiq_verify::{
     codes, lint_plan, verify_annotations, verify_compiled, verify_envelope, verify_program,
@@ -354,6 +354,184 @@ fn swapped_record_fields_are_plan002() {
     let rec = &mut plan.records_mut()[idx];
     std::mem::swap(&mut rec.dest, &mut rec.srcs[0]);
     assert_code(&lint_plan(&plan, &program, &trace), codes::PLAN002);
+}
+
+/// The lint's `PLAN002` findings as `(location, message)` pairs.
+fn plan002(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<(String, String)> {
+    lint_plan(plan, program, trace)
+        .into_iter()
+        .filter(|d| d.code == codes::PLAN002)
+        .map(|d| (d.location, d.message))
+        .collect()
+}
+
+fn record_location(plan: &ExecPlan, idx: usize) -> String {
+    format!("plan `{}` record {idx}", plan.workload())
+}
+
+/// Corrupts the first record `pick` selects with `mutate` (which returns
+/// the message the lint must report) and asserts the lint reports exactly
+/// that one `PLAN002` finding, located at that record.
+fn assert_record_mutation(
+    pick: impl Fn(usize, &InstRecord) -> bool,
+    mutate: impl FnOnce(&mut InstRecord) -> String,
+) {
+    let (mut plan, program, trace) = planned();
+    let idx = plan
+        .records()
+        .iter()
+        .enumerate()
+        .position(|(idx, rec)| pick(idx, rec))
+        .expect("the baseline plan has a record to corrupt");
+    let message = mutate(&mut plan.records_mut()[idx]);
+    assert_eq!(
+        plan002(&plan, &program, &trace),
+        vec![(record_location(&plan, idx), message)]
+    );
+}
+
+#[test]
+fn wrong_fu_class_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.fu == FuClass::IntAlu,
+        |rec| {
+            rec.fu = FuClass::IntMul;
+            "fu IntMul ≠ expected IntAlu".to_string()
+        },
+    );
+}
+
+#[test]
+fn wrong_latency_is_plan002() {
+    assert_record_mutation(
+        |_, _| true,
+        |rec| {
+            let expected = rec.latency;
+            rec.latency += 1;
+            format!("latency {} ≠ expected {expected}", rec.latency)
+        },
+    );
+}
+
+#[test]
+fn wrong_hint_value_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::HAS_HINT != 0,
+        |rec| {
+            let expected = rec.hint;
+            rec.hint = expected.wrapping_add(1);
+            format!("hint {} ≠ expected {expected}", rec.hint)
+        },
+    );
+}
+
+#[test]
+fn spurious_has_hint_flag_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::HAS_HINT == 0,
+        |rec| {
+            rec.flags |= flag::HAS_HINT;
+            "HAS_HINT flag disagrees with the instruction's iq_hint".to_string()
+        },
+    );
+}
+
+#[test]
+fn flipped_is_hint_flag_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::IS_HINT == 0,
+        |rec| {
+            rec.flags |= flag::IS_HINT;
+            "IS_HINT flag disagrees with the opcode".to_string()
+        },
+    );
+}
+
+#[test]
+fn dropped_is_load_flag_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::IS_LOAD != 0,
+        |rec| {
+            rec.flags &= !flag::IS_LOAD;
+            "IS_LOAD flag disagrees with the opcode".to_string()
+        },
+    );
+}
+
+#[test]
+fn dropped_is_store_flag_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::IS_STORE != 0,
+        |rec| {
+            rec.flags &= !flag::IS_STORE;
+            "IS_STORE flag disagrees with the opcode".to_string()
+        },
+    );
+}
+
+#[test]
+fn flipped_ends_group_flag_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::ENDS_GROUP != 0,
+        |rec| {
+            rec.flags &= !flag::ENDS_GROUP;
+            "ENDS_GROUP flag disagrees with the control-flow outcome".to_string()
+        },
+    );
+}
+
+#[test]
+fn dropped_new_line_flag_is_plan002() {
+    // A later line change without a miss: dropping its NEW_LINE leaves
+    // every other stream and counter consistent.
+    assert_record_mutation(
+        |idx, rec| idx > 0 && rec.flags & flag::NEW_LINE != 0 && rec.flags & flag::L1I_MISS == 0,
+        |rec| {
+            rec.flags &= !flag::NEW_LINE;
+            "NEW_LINE flag disagrees with the fetch-line sequence".to_string()
+        },
+    );
+}
+
+#[test]
+fn miss_without_fetch_access_is_plan002() {
+    assert_record_mutation(
+        |_, rec| rec.flags & flag::NEW_LINE == 0,
+        |rec| {
+            rec.flags |= flag::L1I_MISS;
+            "L1I_MISS set on a record that performs no I-cache access".to_string()
+        },
+    );
+}
+
+#[test]
+fn every_record_corrupted_is_bounded_plan002() {
+    let (mut plan, program, trace) = planned();
+    let latencies: Vec<u8> = plan.records().iter().map(|rec| rec.latency).collect();
+    for rec in plan.records_mut() {
+        rec.latency += 1;
+    }
+    let findings = plan002(&plan, &program, &trace);
+    let mut expected: Vec<(String, String)> = latencies
+        .iter()
+        .enumerate()
+        .take(25)
+        .map(|(idx, latency)| {
+            (
+                record_location(&plan, idx),
+                format!("latency {} ≠ expected {latency}", latency + 1),
+            )
+        })
+        .collect();
+    expected.push((
+        format!("plan `{}`", plan.workload()),
+        format!(
+            "{} further per-record findings suppressed",
+            trace.len() - 25
+        ),
+    ));
+    assert_eq!(findings.len(), 26, "25 record findings plus the summary");
+    assert_eq!(findings, expected);
 }
 
 #[test]
