@@ -126,6 +126,20 @@ fn plan_misses_trace_execute_lower_and_lint_stages() {
 }
 
 #[test]
+fn cells_trace_a_price_span_each_and_replay_spans_on_misses() {
+    let names = traced_span_names("stage-trace.json", &[]);
+    let count = |stage: &str| names.iter().filter(|n| *n == stage).count();
+    let cells = count("cell");
+    assert!(cells > 0, "cell spans missing: {names:?}");
+    assert_eq!(count("price"), cells, "one price span per cell: {names:?}");
+    let replays = count("replay");
+    assert!(
+        replays > 0 && replays <= cells,
+        "{replays} replay spans for {cells} cells: {names:?}"
+    );
+}
+
+#[test]
 fn traced_save_is_byte_identical_to_untraced() {
     let traced_save = temp_path("traced-save.json");
     let plain_save = temp_path("plain-save.json");
@@ -191,7 +205,14 @@ fn stats_view_prints_the_metrics_registry_only_when_asked() {
         run.stdout
     );
     assert!(run.stdout.contains("cells_done"), "stdout:\n{}", run.stdout);
-    for stage in ["plan_execute_nanos", "plan_lower_nanos", "plan_lint_nanos"] {
+    for stage in [
+        "plan_execute_nanos",
+        "plan_lower_nanos",
+        "plan_lint_nanos",
+        "cache_replay_hits",
+        "cache_replay_misses",
+        "replay_nanos",
+    ] {
         assert!(run.stdout.contains(stage), "stdout:\n{}", run.stdout);
     }
     assert!(

@@ -1,22 +1,30 @@
 //! Content-addressed artifact cache shared by every cell of an experiment
 //! matrix.
 //!
-//! A (benchmark × technique × configuration) sweep re-uses two expensive,
-//! fully deterministic artifacts across many cells:
+//! A (benchmark × technique × configuration) sweep re-uses four expensive,
+//! fully deterministic artifacts across many cells, each keyed by exactly
+//! its true inputs:
 //!
-//! * the **built program** — a function of `(benchmark, scale)` only: all
-//!   six techniques and every `SimConfig` variant at the same scale
-//!   simulate the same synthetic program, and
-//! * the **compiler-pass output** — a function of
-//!   `(benchmark, scale, PassConfig)` only: the three software techniques
-//!   differ per pass configuration, not per simulator configuration
-//!   (unless the sweep changes the machine widths the pass targets, which
-//!   changes the `PassConfig` and therefore the key).
+//! * the **built program** ([`ProgramKey`]) — a function of
+//!   `(benchmark, scale)` only: every technique and every `SimConfig`
+//!   variant at the same scale starts from the same synthetic program,
+//! * the **compiler-pass output** ([`CompileKey`]) — a function of
+//!   `(program, PassConfig)` only: the software techniques differ per pass
+//!   configuration, not per simulator configuration (unless the sweep
+//!   changes the machine widths the pass targets, which changes the
+//!   `PassConfig` and therefore the key),
+//! * the **execution plan** ([`PlanKey`]) — the program (raw or compiled)
+//!   traced and lowered under one `SimConfig`, and
+//! * the **replay** ([`ReplayKey`]) — the [`SimResult`] of one plan under
+//!   one [`ResizePolicy`]. Techniques that differ only in how activity is
+//!   priced (`baseline`, `nonEmpty` and `way-memo` all run the fixed
+//!   policy over the source program) share one replay, so a cell reduces
+//!   to pricing once its replay exists.
 //!
-//! The cache keys artifacts by exactly those inputs and hands out
-//! `Arc`-shared handles, so a full 11 × 6 × K sweep builds each program
-//! once per scale and runs each compiler pass once per key — instead of
-//! once per cell, as the old one-thread-per-benchmark matrix runner did.
+//! The cache hands out `Arc`-shared handles, so the default 11 × 8 suite
+//! builds each program once, runs each compiler pass once, and replays
+//! 66 (plan, policy) pairs for its 88 cells; an 11 × 8 × K sweep repeats
+//! that per configuration variant.
 //!
 //! # Determinism
 //!
@@ -30,15 +38,19 @@
 //! # Concurrency
 //!
 //! Each key maps to a [`OnceLock`] slot: the first worker to reach a key
-//! runs the build/compile, any concurrent worker blocks on the same slot
-//! and receives the same `Arc` — an artifact is never computed twice, which
+//! runs the build, any concurrent worker blocks on the same slot and
+//! receives the same `Arc` — an artifact is never computed twice, which
 //! the instrumented [`ArtifactCache::program_builds`] /
-//! [`ArtifactCache::compile_runs`] counters let tests assert exactly.
+//! [`ArtifactCache::compile_runs`] / [`ArtifactCache::plan_builds`] /
+//! [`ArtifactCache::replay_runs`] counters let tests assert exactly. Every
+//! lookup counts as exactly one `cache_*_hits` or `cache_*_misses` in the
+//! `sdiq-obs` registry (a worker that waited on a slot another worker was
+//! filling counts a hit), so the counts are the same for any worker count.
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
 use sdiq_isa::{Executor, Program};
-use sdiq_obs::Histogram;
-use sdiq_sim::{ExecPlan, SimConfig};
+use sdiq_obs::{Counter, Histogram};
+use sdiq_sim::{ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
 use sdiq_verify::{has_errors, lint_plan, verify_compiled, Severity, StandardVerifier};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
@@ -114,7 +126,8 @@ pub enum PlanSource {
 /// timing), and the instruction budget bounding its trace.
 ///
 /// The resize policy is deliberately **absent**: nothing in a plan depends
-/// on it, so one plan serves all techniques of a cell shape.
+/// on it, so one plan serves every policy replayed over that program and
+/// machine (each (plan, policy) pair is then a [`ReplayKey`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// The program the plan replays.
@@ -123,6 +136,21 @@ pub struct PlanKey {
     pub sim_config: SimConfig,
     /// The dynamic-instruction cap used when tracing the program.
     pub max_dynamic_instructions: u64,
+}
+
+/// Content address of one cycle replay: a plan and the resize policy it is
+/// replayed under. These are a replay's only inputs — the technique's
+/// wakeup scheme, bank gating and energy models act later, when the
+/// [`SimResult`] is priced — so techniques sharing a plan and a policy
+/// share one replay. The policy compares and hashes exactly (adaptive
+/// parameters by `f64` bit pattern), so distinct configurations never
+/// alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReplayKey {
+    /// The plan replayed.
+    pub plan: PlanKey,
+    /// The resize policy the replay runs with.
+    pub policy: ResizePolicy,
 }
 
 /// The shared artifact cache. One instance serves a whole sweep; creating
@@ -137,7 +165,9 @@ pub struct PlanKey {
 /// pass manager with the inter-pass [`StandardVerifier`] plus the full
 /// `sdiq_verify::verify_compiled` suite, and lowered plans are
 /// cross-checked against their source program and trace with
-/// `sdiq_verify::lint_plan`. A failed check is a logic error in this
+/// `sdiq_verify::lint_plan`. Replays are not verified: they are the
+/// simulator's output, checked against the interpreted oracle by the
+/// differential tests instead. A failed check is a logic error in this
 /// repository, not a user error, so it panics with the full diagnostic
 /// listing. Because verification happens inside the [`OnceLock`]
 /// initialiser, a sweep touching the same key a thousand times pays for
@@ -147,9 +177,11 @@ pub struct ArtifactCache {
     programs: Mutex<HashMap<ProgramKey, Arc<OnceLock<Arc<Program>>>>>,
     compiles: Mutex<HashMap<CompileKey, Arc<OnceLock<Arc<CompiledArtifact>>>>>,
     plans: Mutex<HashMap<PlanKey, Arc<OnceLock<Arc<ExecPlan>>>>>,
+    replays: Mutex<HashMap<ReplayKey, Arc<OnceLock<Arc<SimResult>>>>>,
     program_builds: AtomicU64,
     compile_runs: AtomicU64,
     plan_builds: AtomicU64,
+    replay_runs: AtomicU64,
     verify: AtomicBool,
 }
 
@@ -159,31 +191,54 @@ impl Default for ArtifactCache {
             programs: Mutex::default(),
             compiles: Mutex::default(),
             plans: Mutex::default(),
+            replays: Mutex::default(),
             program_builds: AtomicU64::new(0),
             compile_runs: AtomicU64::new(0),
             plan_builds: AtomicU64::new(0),
+            replay_runs: AtomicU64::new(0),
             verify: AtomicBool::new(cfg!(debug_assertions)),
         }
     }
 }
 
-/// Fetches (or inserts) the once-initialisable slot for `key`. The map
-/// lock is held only for the slot lookup, never across a build. A
-/// poisoned map lock is recovered: the critical section is a pure
-/// `HashMap` entry lookup, which cannot leave the map inconsistent.
-fn slot<K: Eq + Hash + Copy, V>(
+/// The artifact for `key`, running `build` exactly once per key and
+/// counting this lookup as one hit or one miss: a miss if this call ran
+/// `build` (counted before it starts), a hit otherwise — also when the
+/// call waited on a slot another worker was filling, so the counts do not
+/// depend on the worker count. The map lock is held only for the slot
+/// lookup, never across a build. A poisoned map lock is recovered: the
+/// critical section is a pure `HashMap` entry lookup, which cannot leave
+/// the map inconsistent.
+fn fetch<K: Eq + Hash + Copy, V: Clone>(
     map: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
     key: K,
-) -> Arc<OnceLock<V>> {
-    map.lock()
+    hits: &Counter,
+    misses: &Counter,
+    build: impl FnOnce() -> V,
+) -> V {
+    let slot = map
+        .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .entry(key)
         .or_default()
-        .clone()
+        .clone();
+    let mut built = false;
+    let value = slot
+        .get_or_init(|| {
+            built = true;
+            misses.inc();
+            build()
+        })
+        .clone();
+    if !built {
+        hits.inc();
+    }
+    value
 }
 
-/// Runs one stage of a plan build under its own span (nested in the
-/// `lower-plan` span) and records its wall time in `histogram`.
+/// Runs one stage of an artifact build under its own span (nested in the
+/// span of the cell or cache miss that needed it) and records its wall
+/// time in `histogram`.
 fn stage<T>(name: &'static str, histogram: &Histogram, work: impl FnOnce() -> T) -> T {
     let _span = sdiq_obs::span(name, "cache");
     let start = Instant::now();
@@ -213,72 +268,72 @@ impl ArtifactCache {
 
     /// The program for `key`, building it exactly once per key.
     pub fn program(&self, key: ProgramKey) -> Arc<Program> {
-        let slot = slot(&self.programs, key);
-        if slot.get().is_some() {
-            sdiq_obs::metrics().cache_program_hits.inc();
-        }
-        slot.get_or_init(|| {
-            let metrics = sdiq_obs::metrics();
-            metrics.cache_program_misses.inc();
-            let _span = sdiq_obs::span("build-program", "cache");
-            self.program_builds.fetch_add(1, Ordering::Relaxed);
-            key.benchmark.build_scaled_shared(key.scale())
-        })
-        .clone()
+        let metrics = sdiq_obs::metrics();
+        fetch(
+            &self.programs,
+            key,
+            &metrics.cache_program_hits,
+            &metrics.cache_program_misses,
+            || {
+                let _span = sdiq_obs::span("build-program", "cache");
+                self.program_builds.fetch_add(1, Ordering::Relaxed);
+                key.benchmark.build_scaled_shared(key.scale())
+            },
+        )
     }
 
     /// The compiler-pass output for `key`, running the pass exactly once
     /// per key (building the input program through the cache if needed).
     pub fn compiled(&self, key: CompileKey) -> Arc<CompiledArtifact> {
         let input = self.program(key.program);
-        let slot = slot(&self.compiles, key);
-        if slot.get().is_some() {
-            sdiq_obs::metrics().cache_compile_hits.inc();
-        }
-        slot.get_or_init(|| {
-            let metrics = sdiq_obs::metrics();
-            metrics.cache_compile_misses.inc();
-            let _span = sdiq_obs::span("compile", "cache");
-            self.compile_runs.fetch_add(1, Ordering::Relaxed);
-            let compiled = if self.verify_enabled() {
-                let compiled = match CompilerPass::new(key.pass)
-                    .run_verified(&input, Box::new(StandardVerifier))
-                {
-                    Ok(compiled) => compiled,
-                    Err(err) => panic!(
-                        "compile of `{}` failed inter-pass verification: {err}",
-                        key.program.benchmark.name()
-                    ),
+        let metrics = sdiq_obs::metrics();
+        fetch(
+            &self.compiles,
+            key,
+            &metrics.cache_compile_hits,
+            &metrics.cache_compile_misses,
+            || {
+                let _span = sdiq_obs::span("compile", "cache");
+                self.compile_runs.fetch_add(1, Ordering::Relaxed);
+                let compiled = if self.verify_enabled() {
+                    let compiled = match CompilerPass::new(key.pass)
+                        .run_verified(&input, Box::new(StandardVerifier))
+                    {
+                        Ok(compiled) => compiled,
+                        Err(err) => panic!(
+                            "compile of `{}` failed inter-pass verification: {err}",
+                            key.program.benchmark.name()
+                        ),
+                    };
+                    let errors: Vec<String> = verify_compiled(&compiled)
+                        .into_iter()
+                        .filter(|d| d.severity == Severity::Error)
+                        .map(|d| d.to_string())
+                        .collect();
+                    if !errors.is_empty() {
+                        panic!(
+                            "compiled artifact for `{}` failed verification:\n  {}",
+                            key.program.benchmark.name(),
+                            errors.join("\n  ")
+                        );
+                    }
+                    compiled
+                } else {
+                    CompilerPass::new(key.pass).run(&input)
                 };
-                let errors: Vec<String> = verify_compiled(&compiled)
-                    .into_iter()
-                    .filter(|d| d.severity == Severity::Error)
-                    .map(|d| d.to_string())
-                    .collect();
-                if !errors.is_empty() {
-                    panic!(
-                        "compiled artifact for `{}` failed verification:\n  {}",
-                        key.program.benchmark.name(),
-                        errors.join("\n  ")
-                    );
+                let mut stats = compiled.stats;
+                stats.total_duration = Duration::ZERO;
+                for proc_stats in &mut stats.per_procedure {
+                    proc_stats.duration = Duration::ZERO;
                 }
-                compiled
-            } else {
-                CompilerPass::new(key.pass).run(&input)
-            };
-            let mut stats = compiled.stats;
-            stats.total_duration = Duration::ZERO;
-            for proc_stats in &mut stats.per_procedure {
-                proc_stats.duration = Duration::ZERO;
-            }
-            let hint_noops_inserted = stats.hint_noops_inserted;
-            Arc::new(CompiledArtifact {
-                program: Arc::new(compiled.program),
-                stats,
-                hint_noops_inserted,
-            })
-        })
-        .clone()
+                let hint_noops_inserted = stats.hint_noops_inserted;
+                Arc::new(CompiledArtifact {
+                    program: Arc::new(compiled.program),
+                    stats,
+                    hint_noops_inserted,
+                })
+            },
+        )
     }
 
     /// The execution plan for `key`, lowering it exactly once per key
@@ -291,37 +346,63 @@ impl ArtifactCache {
             PlanSource::Program(program) => self.program(program),
             PlanSource::Compiled(compile) => self.compiled(compile).program.clone(),
         };
-        let slot = slot(&self.plans, key);
-        if slot.get().is_some() {
-            sdiq_obs::metrics().cache_plan_hits.inc();
-        }
-        slot.get_or_init(|| {
-            let metrics = sdiq_obs::metrics();
-            metrics.cache_plan_misses.inc();
-            let _span = sdiq_obs::span("lower-plan", "cache");
-            self.plan_builds.fetch_add(1, Ordering::Relaxed);
-            let trace = stage("execute", &metrics.plan_execute_nanos, || {
-                Executor::new(&program).run(key.max_dynamic_instructions)
-            });
-            let trace = match trace {
-                Ok(trace) => trace,
-                Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
-            };
-            let plan = stage("lower", &metrics.plan_lower_nanos, || {
-                ExecPlan::build(key.sim_config, &program, &trace)
-            });
-            if self.verify_enabled() {
-                let diags = stage("lint-plan", &metrics.plan_lint_nanos, || {
-                    lint_plan(&plan, &program, &trace)
+        let metrics = sdiq_obs::metrics();
+        fetch(
+            &self.plans,
+            key,
+            &metrics.cache_plan_hits,
+            &metrics.cache_plan_misses,
+            || {
+                let _span = sdiq_obs::span("lower-plan", "cache");
+                self.plan_builds.fetch_add(1, Ordering::Relaxed);
+                let trace = stage("execute", &metrics.plan_execute_nanos, || {
+                    Executor::new(&program).run(key.max_dynamic_instructions)
                 });
-                if has_errors(&diags) {
-                    let listing: Vec<String> = diags.iter().map(ToString::to_string).collect();
-                    panic!("execution plan failed lint:\n  {}", listing.join("\n  "));
+                let trace = match trace {
+                    Ok(trace) => trace,
+                    Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
+                };
+                let plan = stage("lower", &metrics.plan_lower_nanos, || {
+                    ExecPlan::build(key.sim_config, &program, &trace)
+                });
+                if self.verify_enabled() {
+                    let diags = stage("lint-plan", &metrics.plan_lint_nanos, || {
+                        lint_plan(&plan, &program, &trace)
+                    });
+                    if has_errors(&diags) {
+                        let listing: Vec<String> = diags.iter().map(ToString::to_string).collect();
+                        panic!("execution plan failed lint:\n  {}", listing.join("\n  "));
+                    }
                 }
-            }
-            Arc::new(plan)
-        })
-        .clone()
+                Arc::new(plan)
+            },
+        )
+    }
+
+    /// The cycle replay for `key`, running it exactly once per key
+    /// (lowering the plan through the cache if needed). Each technique's
+    /// cell then only prices the shared [`SimResult`].
+    pub fn replayed(&self, key: ReplayKey) -> Arc<SimResult> {
+        let plan = self.planned(key.plan);
+        let metrics = sdiq_obs::metrics();
+        fetch(
+            &self.replays,
+            key,
+            &metrics.cache_replay_hits,
+            &metrics.cache_replay_misses,
+            || {
+                self.replay_runs.fetch_add(1, Ordering::Relaxed);
+                let result = stage("replay", &metrics.replay_nanos, || {
+                    PlanSimulator::new(&plan, key.policy).run()
+                });
+                match result {
+                    Ok(result) => Arc::new(result),
+                    Err(err) => {
+                        panic!("simulation must complete over a committed trace: {err:?}")
+                    }
+                }
+            },
+        )
     }
 
     /// Number of programs actually built (one per unique [`ProgramKey`]
@@ -340,6 +421,12 @@ impl ArtifactCache {
     /// requested, regardless of concurrency).
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds.load(Ordering::Relaxed)
+    }
+
+    /// Number of cycle replays run (one per unique [`ReplayKey`]
+    /// requested, regardless of concurrency).
+    pub fn replay_runs(&self) -> u64 {
+        self.replay_runs.load(Ordering::Relaxed)
     }
 }
 
@@ -538,6 +625,63 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.plan_builds(), 2);
         assert_eq!(cache.program_builds(), 1);
+    }
+
+    fn gzip_plan() -> PlanKey {
+        PlanKey {
+            source: PlanSource::Program(ProgramKey::new(Benchmark::Gzip, 0.05)),
+            sim_config: SimConfig::hpca2005(),
+            max_dynamic_instructions: 2_000_000,
+        }
+    }
+
+    #[test]
+    fn replay_is_run_once_per_key_and_shared() {
+        let cache = ArtifactCache::new();
+        let key = ReplayKey {
+            plan: gzip_plan(),
+            policy: ResizePolicy::Fixed,
+        };
+        let a = cache.replayed(key);
+        let b = cache.replayed(key);
+        assert!(Arc::ptr_eq(&a, &b), "same handle");
+        assert_eq!(cache.replay_runs(), 1);
+        assert_eq!(cache.plan_builds(), 1, "plan lowered through the cache");
+        // Another policy over the same plan is another replay, not another
+        // plan.
+        let hinted = cache.replayed(ReplayKey {
+            policy: ResizePolicy::SoftwareHint,
+            ..key
+        });
+        assert!(!Arc::ptr_eq(&a, &hinted));
+        assert_eq!(cache.replay_runs(), 2);
+        assert_eq!(cache.plan_builds(), 1);
+    }
+
+    /// The policy is keyed exactly: two adaptive configurations that
+    /// differ in one float field get their own slots and their own
+    /// results.
+    #[test]
+    fn adaptive_configs_differing_only_in_threshold_do_not_alias() {
+        use sdiq_sim::AdaptiveConfig;
+        let cache = ArtifactCache::new();
+        // Short intervals, so the small workload crosses many boundaries.
+        let replay = |threshold: f64| {
+            cache.replayed(ReplayKey {
+                plan: gzip_plan(),
+                policy: ResizePolicy::Adaptive(AdaptiveConfig {
+                    interval_cycles: 100,
+                    youngest_contribution_threshold: threshold,
+                    ..AdaptiveConfig::iqrob64()
+                }),
+            })
+        };
+        let paper = replay(0.05);
+        let eager = replay(0.5);
+        assert_eq!(cache.replay_runs(), 2, "distinct slots");
+        assert_ne!(*paper, *eager, "distinct results");
+        assert!(Arc::ptr_eq(&paper, &replay(0.05)));
+        assert_eq!(cache.replay_runs(), 2);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! axes are shaped, and a long cell never strands the rest of its row.
 //!
 //! Expensive per-cell work that is shared between cells (program
-//! generation, compiler passes) goes through the [`ArtifactCache`], and
-//! every cell's result is a pure function of its cell key, which yields the
-//! engine's hard guarantee: **the assembled [`Sweep`] is bit-identical for
-//! any worker count**, `jobs = 1` included. The integration suite asserts
-//! this.
+//! generation, compiler passes, plan lowering, cycle replay) goes through
+//! the [`ArtifactCache`], so a cell itself mostly prices a shared replay,
+//! and every cell's result is a pure function of its cell key, which
+//! yields the engine's hard guarantee: **the assembled [`Sweep`] is
+//! bit-identical for any worker count**, `jobs = 1` included. The
+//! integration suite asserts this.
 //!
 //! # Scaling beyond one process
 //!
@@ -35,7 +36,7 @@
 //! matrix description distribution backends ship to processes that never
 //! saw the coordinator's command line.
 
-use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, ProgramKey};
+use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, ProgramKey, ReplayKey};
 use crate::runner::{Experiment, RunReport, SimBackend, Suite};
 use crate::technique::Technique;
 use sdiq_sim::SimConfig;
@@ -1252,9 +1253,10 @@ fn observed_cell(
 /// Runs one cell through the artifact cache: software techniques reuse the
 /// cached compiler-pass output, hardware techniques run the shared built
 /// program directly — no per-cell `Program` clone in either path. Under
-/// the compiled backend (the default) the cell's execution plan is also
-/// cached: the trace and lowering happen once per (source, SimConfig)
-/// shape and every technique/policy of that shape replays the shared plan.
+/// the compiled backend (the default) the plan and the replay are cached
+/// too: the trace and lowering happen once per (source, SimConfig) shape,
+/// the cycle replay once per (plan, resize policy), and the cell itself
+/// only prices the shared result under its technique.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
@@ -1278,16 +1280,19 @@ fn run_cell(
     match experiment.backend {
         SimBackend::Compiled => {
             let (source, artifact) = source_and_compile;
-            let plan = cache.planned(PlanKey {
-                source,
-                sim_config: variant.sim_config,
-                max_dynamic_instructions: experiment.max_dynamic_instructions,
+            let result = cache.replayed(ReplayKey {
+                plan: PlanKey {
+                    source,
+                    sim_config: variant.sim_config,
+                    max_dynamic_instructions: experiment.max_dynamic_instructions,
+                },
+                policy: technique.resize_policy(),
             });
             let (compile, hint_noops) = match artifact {
                 Some(artifact) => (Some(artifact.stats.clone()), artifact.hint_noops_inserted),
                 None => (None, 0),
             };
-            experiment.run_planned(&plan, technique, compile, hint_noops)
+            experiment.price(benchmark.name(), technique, &result, compile, hint_noops)
         }
         SimBackend::Interpreted => match source_and_compile {
             (_, Some(artifact)) => experiment.run_prepared(

@@ -15,9 +15,9 @@
 //!   shared queue, with a third sweep axis over [`ConfigVariant`]s
 //!   (issue-queue geometry, workload scale) for Figure-10-style
 //!   sensitivity studies; parallel runs are bit-identical to serial ones,
-//! * [`ArtifactCache`] — content-addressed sharing of built programs and
-//!   compiler-pass outputs across cells (`Arc`-handled, built exactly once
-//!   per key),
+//! * [`ArtifactCache`] — content-addressed sharing of built programs,
+//!   compiler-pass outputs, execution plans and cycle replays across cells
+//!   (`Arc`-handled, built exactly once per key),
 //! * [`Backend`] — where a matrix runs: the in-process pool, a
 //!   coordinator spawning one worker subprocess per [`shard_of`]-assigned
 //!   shard, or a coordinator streaming cells to networked worker daemons
@@ -58,8 +58,8 @@ pub mod technique;
 pub mod trace;
 
 pub use cache::{
-    ArtifactCache, CompileKey, CompiledArtifact, PlanKey, PlanSource, ProgramKey, ResultStore,
-    Stored,
+    ArtifactCache, CompileKey, CompiledArtifact, PlanKey, PlanSource, ProgramKey, ReplayKey,
+    ResultStore, Stored,
 };
 pub use engine::{
     cell_key, matrix_fingerprint, shard_of, Backend, BackendError, CellSink, ConfigVariant, Matrix,

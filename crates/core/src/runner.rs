@@ -1,10 +1,10 @@
-//! The experiment runner: compile (if needed) → execute → simulate → power.
+//! The experiment runner: compile (if needed) → execute → simulate → price.
 
 use crate::technique::Technique;
 use sdiq_compiler::{CompileStats, CompilerPass};
 use sdiq_isa::{Executor, Program};
 use sdiq_power::{EnergyModel, PowerBreakdown, PowerSavings};
-use sdiq_sim::{ActivityStats, ExecPlan, PlanSimulator, SimConfig, Simulator};
+use sdiq_sim::{ActivityStats, ExecPlan, PlanSimulator, SimConfig, SimResult, Simulator};
 use sdiq_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -199,10 +199,11 @@ impl Experiment {
     }
 
     /// Runs a program whose compiler pass (if any) has already happened —
-    /// the engine's entry point, fed from the artifact cache. `sim_config`
-    /// is taken explicitly so configuration sweeps can override the
-    /// experiment's machine per cell; everything downstream of the pass
-    /// (functional execution, timing simulation, power model) runs here.
+    /// the one-shot path, and the engine's path under the interpreted
+    /// backend. `sim_config` is taken explicitly so configuration sweeps
+    /// can override the experiment's machine per cell; everything
+    /// downstream of the pass (functional execution, timing simulation,
+    /// pricing) runs here.
     pub fn run_prepared(
         &self,
         program_to_run: &Program,
@@ -218,8 +219,9 @@ impl Experiment {
         };
 
         // 2. Timing simulation (both backends are bit-identical; a one-shot
-        //    run builds its plan inline, the engine path caches plans in
-        //    the ArtifactCache and enters through `run_planned` instead).
+        //    run builds its plan inline, while the engine's compiled path
+        //    takes plans and replays from the ArtifactCache and only
+        //    prices here).
         let result = match self.backend {
             SimBackend::Compiled => {
                 let plan = ExecPlan::build(sim_config, program_to_run, &trace);
@@ -238,42 +240,30 @@ impl Experiment {
             Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
         };
 
-        // 3. Power model.
-        let power = PowerBreakdown::from_stats(
-            &result.stats,
-            &self.energy_model,
-            technique.wakeup_scheme(),
-            technique.bank_gating(),
-        );
-
-        RunReport {
-            workload: program_to_run.name.clone(),
+        // 3. Pricing.
+        self.price(
+            &program_to_run.name,
             technique,
-            stats: result.stats,
-            power,
+            &result,
             compile,
-            adaptive_resizes: result.adaptive_resizes,
             hint_noops_inserted,
-        }
+        )
     }
 
-    /// Runs a cell whose static side is already fully lowered into an
-    /// [`ExecPlan`] — the compiled-backend fast path fed from
-    /// [`crate::ArtifactCache::planned`]. Functional execution, trace
-    /// construction and plan lowering are all skipped: only the dynamic
-    /// cycle replay and the power model run here. One plan serves every
-    /// technique/policy of its (program, SimConfig) shape.
-    pub fn run_planned(
+    /// Prices one replay under `technique`'s energy accounting (wakeup
+    /// scheme, bank gating) and assembles the cell's report — the last
+    /// stage of every cell, on both the one-shot path and the engine path,
+    /// where one cached [`SimResult`] is priced once per technique sharing
+    /// its (plan, policy). Runs under a `price` span.
+    pub(crate) fn price(
         &self,
-        plan: &ExecPlan,
+        workload: &str,
         technique: Technique,
+        result: &SimResult,
         compile: Option<CompileStats>,
         hint_noops_inserted: usize,
     ) -> RunReport {
-        let result = match PlanSimulator::new(plan, technique.resize_policy()).run() {
-            Ok(result) => result,
-            Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
-        };
+        let _span = sdiq_obs::span("price", "cell");
         let power = PowerBreakdown::from_stats(
             &result.stats,
             &self.energy_model,
@@ -281,9 +271,9 @@ impl Experiment {
             technique.bank_gating(),
         );
         RunReport {
-            workload: plan.workload().to_string(),
+            workload: workload.to_string(),
             technique,
-            stats: result.stats,
+            stats: result.stats.clone(),
             power,
             compile,
             adaptive_resizes: result.adaptive_resizes,
@@ -293,9 +283,10 @@ impl Experiment {
 
     /// Runs the full (benchmarks × techniques) matrix on the job engine —
     /// a worker pool sized to the machine pulling cells from a shared
-    /// queue, with program builds and compiler passes deduplicated through
-    /// a [`crate::ArtifactCache`] — and returns the collected suite. The
-    /// result is bit-identical to a serial run (see [`crate::Matrix`]).
+    /// queue, with program builds, compiler passes, plans and replays
+    /// deduplicated through a [`crate::ArtifactCache`] — and returns the
+    /// collected suite. The result is bit-identical to a serial run (see
+    /// [`crate::Matrix`]).
     pub fn run_matrix(&self, benchmarks: &[Benchmark], techniques: &[Technique]) -> Suite {
         crate::engine::Matrix::new(self)
             .benchmarks(benchmarks)

@@ -449,6 +449,10 @@ pub struct Metrics {
     pub cache_plan_hits: Counter,
     /// `ArtifactCache` plan slots built.
     pub cache_plan_misses: Counter,
+    /// `ArtifactCache` replay slots served from cache.
+    pub cache_replay_hits: Counter,
+    /// `ArtifactCache` replay slots computed (the cycle replay ran).
+    pub cache_replay_misses: Counter,
     /// Cells computed to completion by the engine (seeded cells do not
     /// count — they were never run).
     pub cells_done: Counter,
@@ -465,6 +469,8 @@ pub struct Metrics {
     /// Plan lint per `ArtifactCache` plan miss with verification on,
     /// nanoseconds.
     pub plan_lint_nanos: Histogram,
+    /// Cycle replay per `ArtifactCache` replay miss, nanoseconds.
+    pub replay_nanos: Histogram,
     /// Cells appended to a checkpoint file.
     pub checkpoint_appends: Counter,
     /// Batches submitted to remote workers by the scheduler.
@@ -536,6 +542,8 @@ impl Metrics {
             ),
             counter("cache_plan_hits", "plans", &self.cache_plan_hits),
             counter("cache_plan_misses", "plans", &self.cache_plan_misses),
+            counter("cache_replay_hits", "replays", &self.cache_replay_hits),
+            counter("cache_replay_misses", "replays", &self.cache_replay_misses),
             counter("cells_done", "cells", &self.cells_done),
             Sample {
                 name: "cells_in_flight",
@@ -547,6 +555,7 @@ impl Metrics {
             nanos("plan_execute_nanos", &self.plan_execute_nanos),
             nanos("plan_lower_nanos", &self.plan_lower_nanos),
             nanos("plan_lint_nanos", &self.plan_lint_nanos),
+            nanos("replay_nanos", &self.replay_nanos),
             counter("checkpoint_appends", "cells", &self.checkpoint_appends),
             counter("batches_issued", "batches", &self.batches_issued),
             counter("speculation_issued", "cells", &self.speculation_issued),
@@ -561,16 +570,20 @@ impl Metrics {
         ]
     }
 
-    /// Total cache hits across the three artifact kinds.
+    /// Total cache hits across the four artifact kinds.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_program_hits.get() + self.cache_compile_hits.get() + self.cache_plan_hits.get()
+        self.cache_program_hits.get()
+            + self.cache_compile_hits.get()
+            + self.cache_plan_hits.get()
+            + self.cache_replay_hits.get()
     }
 
-    /// Total cache misses across the three artifact kinds.
+    /// Total cache misses across the four artifact kinds.
     pub fn cache_misses(&self) -> u64 {
         self.cache_program_misses.get()
             + self.cache_compile_misses.get()
             + self.cache_plan_misses.get()
+            + self.cache_replay_misses.get()
     }
 }
 
@@ -597,7 +610,7 @@ pub struct MetricsDelta {
     pub cells_in_flight: u64,
     /// Committed instructions simulated.
     pub sim_instructions: u64,
-    /// Artifact-cache hits (programs + compiles + plans).
+    /// Artifact-cache hits (programs + compiles + plans + replays).
     pub cache_hits: u64,
     /// Artifact-cache misses.
     pub cache_misses: u64,

@@ -17,9 +17,15 @@
 //!   §5.2).
 
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Parameters of the adaptive (Abella-style) controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and hashing are exact: the two `f64` fields compare by bit
+/// pattern (the approach cache keys take for workload scales), so the
+/// config can key a replay artifact without aliasing two thresholds that
+/// happen to compare equal as floats.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AdaptiveConfig {
     /// Length of a measurement interval in cycles.
     pub interval_cycles: u64,
@@ -53,6 +59,18 @@ impl AdaptiveConfig {
             rob_ratio: 1.6,
         }
     }
+
+    /// Every field as an exact integer, floats by bit pattern.
+    fn bits(&self) -> (u64, usize, usize, u64, u64, u64) {
+        (
+            self.interval_cycles,
+            self.bank_entries,
+            self.min_entries,
+            self.youngest_contribution_threshold.to_bits(),
+            self.expand_period_intervals,
+            self.rob_ratio.to_bits(),
+        )
+    }
 }
 
 impl Default for AdaptiveConfig {
@@ -61,8 +79,23 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// The resizing policy a simulation runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+impl PartialEq for AdaptiveConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for AdaptiveConfig {}
+
+impl Hash for AdaptiveConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
+}
+
+/// The resizing policy a simulation runs with. Exact `Eq`/`Hash` (see
+/// [`AdaptiveConfig`]), so a policy is part of a replay's cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ResizePolicy {
     /// Full queue, never resized (baseline and `nonEmpty` runs).
     Fixed,
@@ -564,5 +597,46 @@ mod tests {
         assert!(!ResizePolicy::Fixed.uses_hints());
         assert!(ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()).is_adaptive());
         assert!(!ResizePolicy::SoftwareHint.is_adaptive());
+    }
+
+    /// Policies key replay artifacts, so equality and hashing are exact:
+    /// one changed float bit is a different key, `-0.0` is not `0.0`, and
+    /// a NaN threshold still equals itself.
+    #[test]
+    fn adaptive_policies_compare_and_hash_by_bit_pattern() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash(policy: ResizePolicy) -> u64 {
+            let mut hasher = DefaultHasher::new();
+            policy.hash(&mut hasher);
+            hasher.finish()
+        }
+        let base = AdaptiveConfig::iqrob64();
+        let nudged = AdaptiveConfig {
+            youngest_contribution_threshold: f64::from_bits(
+                base.youngest_contribution_threshold.to_bits() + 1,
+            ),
+            ..base
+        };
+        let (a, b) = (ResizePolicy::Adaptive(base), ResizePolicy::Adaptive(nudged));
+        assert_eq!(a, ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()));
+        assert_eq!(hash(a), hash(ResizePolicy::Adaptive(base)));
+        assert_ne!(a, b);
+        assert_ne!(hash(a), hash(b));
+        let zero = AdaptiveConfig {
+            rob_ratio: 0.0,
+            ..base
+        };
+        let negative_zero = AdaptiveConfig {
+            rob_ratio: -0.0,
+            ..base
+        };
+        assert_ne!(zero, negative_zero);
+        let nan = AdaptiveConfig {
+            youngest_contribution_threshold: f64::NAN,
+            ..base
+        };
+        assert_eq!(nan, nan);
+        assert_ne!(ResizePolicy::Fixed, ResizePolicy::SoftwareHint);
+        assert_ne!(ResizePolicy::Fixed, a);
     }
 }

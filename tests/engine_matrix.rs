@@ -2,8 +2,9 @@
 //! cache and suite persistence — the hard guarantees of the engine layer:
 //!
 //! 1. a parallel matrix run is **bit-identical** to a serial one,
-//! 2. each (benchmark, scale) program is built **exactly once** per sweep
-//!    and each (program, pass-config) compiled exactly once,
+//! 2. each (benchmark, scale) program is built **exactly once** per sweep,
+//!    each (program, pass-config) compiled exactly once, and each
+//!    (plan, resize policy) replayed exactly once,
 //! 3. a saved suite reloads bit-identically and seeds a later run so only
 //!    missing cells are recomputed,
 //! 4. the D-cache activity counters are wired to the cache hierarchy (the
@@ -14,6 +15,7 @@ use sdiq::core::{
 };
 use sdiq::workloads::Benchmark;
 use std::collections::HashMap;
+use std::time::Duration;
 
 fn tiny_experiment() -> Experiment {
     Experiment {
@@ -96,6 +98,129 @@ fn artifacts_are_built_exactly_once_per_unique_key() {
     assert_eq!(cache.program_builds(), BENCHMARKS.len() as u64);
     assert_eq!(cache.compile_runs(), (2 * 2 * BENCHMARKS.len()) as u64);
     assert_eq!(sweep, again, "cache reuse does not change results");
+}
+
+/// The eight registered built-ins, named explicitly: tests in this binary
+/// register toy techniques at run time, so `Technique::all()` may be longer.
+const BUILTINS: [Technique; 8] = [
+    Technique::Baseline,
+    Technique::NonEmpty,
+    Technique::Noop,
+    Technique::Extension,
+    Technique::Improved,
+    Technique::Abella,
+    Technique::WayMemo,
+    Technique::LowenIsa,
+];
+
+/// Per benchmark the eight techniques need six replays: `baseline`,
+/// `nonEmpty` and `way-memo` share the fixed-policy replay of the source
+/// program; `noop`, `extension`, `improved` and `lowen-isa` each replay
+/// their own compiled program; `abella` replays the source program under
+/// its adaptive policy. Sharing must not change a single byte: every cell
+/// equals the one-shot `Experiment::run_program` result, once that
+/// report's wall-clock compile durations are zeroed as the artifact cache
+/// zeroes them.
+#[test]
+fn each_plan_and_policy_is_replayed_exactly_once() {
+    let experiment = Experiment {
+        scale: 0.02,
+        ..Experiment::paper()
+    };
+    let replays_per_variant = 6 * Benchmark::ALL.len() as u64;
+    let matrix = Matrix::new(&experiment)
+        .benchmarks(&Benchmark::ALL)
+        .techniques(&BUILTINS);
+    let mut suites = Vec::new();
+    for jobs in [1, 4] {
+        let cache = ArtifactCache::new();
+        let sweep = matrix.clone().jobs(jobs).run_with(&cache, &HashMap::new());
+        assert_eq!(sweep.suite(0).len(), 88);
+        assert_eq!(cache.replay_runs(), replays_per_variant, "jobs({jobs})");
+        suites.push(sweep.into_suite());
+    }
+    assert_eq!(suites[0], suites[1], "replay sharing is worker-count free");
+
+    let cache = ArtifactCache::new();
+    let swept = matrix
+        .clone()
+        .sweep_iq_entries(&[48])
+        .jobs(4)
+        .run_with(&cache, &HashMap::new());
+    assert_eq!(cache.replay_runs(), 2 * replays_per_variant);
+    assert_eq!(swept.suite(0), &suites[0]);
+
+    for benchmark in Benchmark::ALL {
+        let program = benchmark.build_scaled(experiment.scale);
+        for technique in BUILTINS {
+            let mut one_shot = experiment.run_program(&program, technique);
+            if let Some(compile) = &mut one_shot.compile {
+                compile.total_duration = Duration::ZERO;
+                for procedure in &mut compile.per_procedure {
+                    procedure.duration = Duration::ZERO;
+                }
+            }
+            assert_eq!(
+                suites[0].get(benchmark, technique),
+                Some(&one_shot),
+                "{benchmark}/{technique}: the cached replay must price to the one-shot report"
+            );
+        }
+    }
+}
+
+/// Sharing a replay shares timing, never pricing: `baseline` and
+/// `nonEmpty` get one replay and identical stats, but each is priced
+/// under its own wakeup scheme.
+#[test]
+fn techniques_sharing_a_replay_are_priced_per_technique() {
+    let experiment = tiny_experiment();
+    let cache = ArtifactCache::new();
+    let suite = Matrix::new(&experiment)
+        .benchmarks(&[Benchmark::Gzip])
+        .techniques(&[Technique::Baseline, Technique::NonEmpty])
+        .run_with(&cache, &HashMap::new())
+        .into_suite();
+    assert_eq!(cache.replay_runs(), 1);
+    let baseline = suite.get(Benchmark::Gzip, Technique::Baseline).unwrap();
+    let nonempty = suite.get(Benchmark::Gzip, Technique::NonEmpty).unwrap();
+    assert_eq!(baseline.stats, nonempty.stats);
+    assert_ne!(baseline.power, nonempty.power);
+}
+
+/// A registered technique with its own adaptive parameters gets its own
+/// replay: it must never be served `abella`'s cached result.
+#[test]
+fn a_toy_adaptive_technique_never_aliases_abella() {
+    use sdiq::core::{TechniqueRegistry, TechniqueSpec};
+    use sdiq::sim::{AdaptiveConfig, ResizePolicy};
+
+    let toy = TechniqueRegistry::register(TechniqueSpec {
+        name: "test-toy-adaptive",
+        resize_policy: ResizePolicy::Adaptive(AdaptiveConfig {
+            interval_cycles: 100,
+            youngest_contribution_threshold: 0.5,
+            ..AdaptiveConfig::iqrob64()
+        }),
+        ..Technique::Abella.spec()
+    })
+    .expect("unique name registers");
+    let experiment = tiny_experiment();
+    let cache = ArtifactCache::new();
+    let suite = Matrix::new(&experiment)
+        .benchmarks(&[Benchmark::Gzip])
+        .techniques(&[Technique::Abella, toy])
+        .run_with(&cache, &HashMap::new())
+        .into_suite();
+    assert_eq!(cache.replay_runs(), 2, "one replay per policy");
+    let abella = suite.get(Benchmark::Gzip, Technique::Abella).unwrap();
+    let report = suite.get(Benchmark::Gzip, toy).unwrap();
+    assert_ne!(abella.stats, report.stats);
+    assert_eq!(
+        report,
+        &experiment.run(Benchmark::Gzip, toy),
+        "the toy's cell is its own one-shot run"
+    );
 }
 
 #[test]
