@@ -21,10 +21,16 @@
 //!   policy over the source program) share one replay, so a cell reduces
 //!   to pricing once its replay exists.
 //!
+//! A compile that only annotates its input — hint tags and low-energy
+//! marks, nothing else ([`CompiledArtifact::annotates_only`]) — has the
+//! source program's timing under any policy that ignores hints, so the
+//! engine prices such a cell (`lowen-isa`) from the source program's plan
+//! and replay.
+//!
 //! The cache hands out `Arc`-shared handles, so the default 11 × 8 suite
-//! builds each program once, runs each compiler pass once, and replays
-//! 66 (plan, policy) pairs for its 88 cells; an 11 × 8 × K sweep repeats
-//! that per configuration variant.
+//! builds each program once, runs each compiler pass once, lowers 44 plans
+//! and replays 55 (plan, policy) pairs for its 88 cells; an 11 × 8 × K
+//! sweep repeats that per configuration variant.
 //!
 //! # Determinism
 //!
@@ -106,6 +112,13 @@ pub struct CompiledArtifact {
     pub stats: CompileStats,
     /// Special NOOPs present in the annotated program.
     pub hint_noops_inserted: usize,
+    /// `true` if the pass only annotated its input: the output equals the
+    /// input once `iq_hint` tags and `low_energy` marks are ignored
+    /// ([`Program::differs_only_in_annotations`]). Checked once, by
+    /// content, when the artifact is built — a tagging pass can still
+    /// insert fallback hint NOOPs, so the emission kind alone never
+    /// decides it.
+    pub annotates_only: bool,
 }
 
 /// The program an execution plan is lowered from: either the raw built
@@ -282,6 +295,21 @@ impl ArtifactCache {
         )
     }
 
+    /// Stores `program` as the built program for `key`, so a hand-built
+    /// program the workload generator never produces can stand in for a
+    /// benchmark row of a matrix. Must precede any lookup of `key`.
+    #[cfg(test)]
+    pub(crate) fn seed_program(&self, key: ProgramKey, program: Program) {
+        let slot = OnceLock::new();
+        let _ = slot.set(Arc::new(program));
+        let previous = self
+            .programs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, Arc::new(slot));
+        assert!(previous.is_none(), "program for {key:?} already cached");
+    }
+
     /// The compiler-pass output for `key`, running the pass exactly once
     /// per key (building the input program through the cache if needed).
     pub fn compiled(&self, key: CompileKey) -> Arc<CompiledArtifact> {
@@ -327,10 +355,12 @@ impl ArtifactCache {
                     proc_stats.duration = Duration::ZERO;
                 }
                 let hint_noops_inserted = stats.hint_noops_inserted;
+                let annotates_only = input.differs_only_in_annotations(&compiled.program);
                 Arc::new(CompiledArtifact {
                     program: Arc::new(compiled.program),
                     stats,
                     hint_noops_inserted,
+                    annotates_only,
                 })
             },
         )
@@ -380,12 +410,13 @@ impl ArtifactCache {
     }
 
     /// The cycle replay for `key`, running it exactly once per key
-    /// (lowering the plan through the cache if needed). Each technique's
-    /// cell then only prices the shared [`SimResult`].
-    pub fn replayed(&self, key: ReplayKey) -> Arc<SimResult> {
+    /// (lowering the plan through the cache if needed), with the plan it
+    /// replayed. Each technique's cell then only prices the shared
+    /// [`SimResult`].
+    pub fn replayed(&self, key: ReplayKey) -> (Arc<ExecPlan>, Arc<SimResult>) {
         let plan = self.planned(key.plan);
         let metrics = sdiq_obs::metrics();
-        fetch(
+        let result = fetch(
             &self.replays,
             key,
             &metrics.cache_replay_hits,
@@ -402,7 +433,8 @@ impl ArtifactCache {
                     }
                 }
             },
-        )
+        );
+        (plan, result)
     }
 
     /// Number of programs actually built (one per unique [`ProgramKey`]
@@ -587,6 +619,9 @@ mod tests {
         assert_eq!(cache.program_builds(), 1);
         assert!(a.hint_noops_inserted > 0, "noop pass inserts hints");
         assert_eq!(c.hint_noops_inserted, 0, "tagging pass does not");
+        // Inserted NOOPs change the program; tags alone only annotate it.
+        assert!(!a.annotates_only);
+        assert!(c.annotates_only);
     }
 
     #[test]
@@ -642,14 +677,14 @@ mod tests {
             plan: gzip_plan(),
             policy: ResizePolicy::Fixed,
         };
-        let a = cache.replayed(key);
-        let b = cache.replayed(key);
+        let (_, a) = cache.replayed(key);
+        let (_, b) = cache.replayed(key);
         assert!(Arc::ptr_eq(&a, &b), "same handle");
         assert_eq!(cache.replay_runs(), 1);
         assert_eq!(cache.plan_builds(), 1, "plan lowered through the cache");
         // Another policy over the same plan is another replay, not another
         // plan.
-        let hinted = cache.replayed(ReplayKey {
+        let (_, hinted) = cache.replayed(ReplayKey {
             policy: ResizePolicy::SoftwareHint,
             ..key
         });
@@ -667,14 +702,16 @@ mod tests {
         let cache = ArtifactCache::new();
         // Short intervals, so the small workload crosses many boundaries.
         let replay = |threshold: f64| {
-            cache.replayed(ReplayKey {
-                plan: gzip_plan(),
-                policy: ResizePolicy::Adaptive(AdaptiveConfig {
-                    interval_cycles: 100,
-                    youngest_contribution_threshold: threshold,
-                    ..AdaptiveConfig::iqrob64()
-                }),
-            })
+            cache
+                .replayed(ReplayKey {
+                    plan: gzip_plan(),
+                    policy: ResizePolicy::Adaptive(AdaptiveConfig {
+                        interval_cycles: 100,
+                        youngest_contribution_threshold: threshold,
+                        ..AdaptiveConfig::iqrob64()
+                    }),
+                })
+                .1
         };
         let paper = replay(0.05);
         let eager = replay(0.5);

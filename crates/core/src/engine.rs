@@ -46,7 +46,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// One point on the configuration sweep axis: a simulator configuration
@@ -1257,6 +1257,12 @@ fn observed_cell(
 /// too: the trace and lowering happen once per (source, SimConfig) shape,
 /// the cycle replay once per (plan, resize policy), and the cell itself
 /// only prices the shared result under its technique.
+///
+/// A compile that [only annotates](crate::CompiledArtifact::annotates_only)
+/// its input, run under a policy that ignores hints, replays exactly like
+/// the source program. Its cell prices the source program's plan and
+/// replay, with `committed_low_energy` — the one counter the marks change —
+/// recounted for its own program by [`sdiq_sim::ExecPlan::low_energy_commits`].
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
@@ -1280,14 +1286,32 @@ fn run_cell(
     match experiment.backend {
         SimBackend::Compiled => {
             let (source, artifact) = source_and_compile;
-            let result = cache.replayed(ReplayKey {
+            let policy = technique.resize_policy();
+            let shares_source = !policy.uses_hints()
+                && artifact
+                    .as_ref()
+                    .is_some_and(|artifact| artifact.annotates_only);
+            let (plan, result) = cache.replayed(ReplayKey {
                 plan: PlanKey {
-                    source,
+                    source: if shares_source {
+                        PlanSource::Program(program_key)
+                    } else {
+                        source
+                    },
                     sim_config: variant.sim_config,
                     max_dynamic_instructions: experiment.max_dynamic_instructions,
                 },
-                policy: technique.resize_policy(),
+                policy,
             });
+            let result = match &artifact {
+                Some(artifact) if shares_source => {
+                    let mut recounted = (*result).clone();
+                    recounted.stats.committed_low_energy =
+                        plan.low_energy_commits(&artifact.program);
+                    Arc::new(recounted)
+                }
+                _ => result,
+            };
             let (compile, hint_noops) = match artifact {
                 Some(artifact) => (Some(artifact.stats.clone()), artifact.hint_noops_inserted),
                 None => (None, 0),
@@ -1498,5 +1522,98 @@ mod tests {
         let again = matrix.run_with(&cache, &seeded);
         assert_eq!(sweep, again, "seeded run reproduces the original");
         assert_eq!(cache.program_builds(), 0, "nothing was rebuilt");
+    }
+
+    /// A loop whose preheader is a lone jump: the preheader gets both a
+    /// block-entry and a loop-preheader hint, so tagging must move one of
+    /// them onto a fallback hint NOOP. Named after the benchmark row it
+    /// stands in for, so its reports label like that row's.
+    fn jump_only_preheader_program(name: &str) -> sdiq_isa::Program {
+        use sdiq_isa::builder::ProgramBuilder;
+        use sdiq_isa::reg::int_reg;
+        let mut b = ProgramBuilder::new();
+        b.name(name);
+        let main = b.procedure("main");
+        {
+            let p = b.proc_mut(main);
+            let pre = p.block();
+            let body = p.block();
+            let exit = p.block();
+            p.with_block(pre, |bb| {
+                bb.jump(body);
+            });
+            p.with_block(body, |bb| {
+                bb.addi(int_reg(2), int_reg(2), 3);
+                bb.addi(int_reg(1), int_reg(1), 1);
+                bb.blt(int_reg(1), 50, body, exit);
+            });
+            p.with_block(exit, |bb| {
+                bb.ret();
+            });
+            p.set_entry(pre);
+        }
+        b.finish(main).expect("hand-built loop program is valid")
+    }
+
+    /// Sharing the source program's replay is decided by the compile's
+    /// content, not by its emission kind: a fixed-policy tagging
+    /// technique whose output gained a fallback hint NOOP gets its own
+    /// plan and replay, while the same technique over a program it only
+    /// annotates shares the source's. Both cells equal their one-shot run.
+    #[test]
+    fn a_tagging_compile_that_inserts_a_noop_gets_its_own_replay() {
+        use crate::technique::{TechniqueRegistry, TechniqueSpec};
+        use sdiq_compiler::PassConfig;
+        let toy = TechniqueRegistry::register(TechniqueSpec {
+            name: "test-toy-fixed-tagging",
+            pass_config: Some(PassConfig::low_energy_encoding()),
+            ..Technique::LowenIsa.spec()
+        })
+        .expect("unique name registers");
+        assert!(!toy.resize_policy().uses_hints());
+        let exp = tiny_experiment();
+        let key = ProgramKey::new(Benchmark::Gzip, exp.scale);
+        let compile_key = CompileKey {
+            program: key,
+            pass: toy
+                .pass_config_for(exp.sim_config.widths, exp.sim_config.fu_counts)
+                .expect("toy technique declares a pass"),
+        };
+        let matrix = Matrix::new(&exp)
+            .benchmarks(&[Benchmark::Gzip])
+            .techniques(&[Technique::Baseline, toy]);
+        let zeroed = |mut report: RunReport| {
+            if let Some(compile) = &mut report.compile {
+                compile.total_duration = Duration::ZERO;
+                for procedure in &mut compile.per_procedure {
+                    procedure.duration = Duration::ZERO;
+                }
+            }
+            report
+        };
+
+        let program = jump_only_preheader_program(Benchmark::Gzip.name());
+        let cache = ArtifactCache::new();
+        cache.seed_program(key, program.clone());
+        let suite = matrix.run_with(&cache, &HashMap::new()).into_suite();
+        let artifact = cache.compiled(compile_key);
+        assert!(artifact.hint_noops_inserted > 0, "the fallback NOOP fired");
+        assert!(!artifact.annotates_only);
+        assert_eq!(cache.plan_builds(), 2, "its own plan");
+        assert_eq!(cache.replay_runs(), 2, "its own replay");
+        let report = suite.get(Benchmark::Gzip, toy).expect("toy cell ran");
+        assert!(report.stats.committed_hints > 0);
+        assert!(report.stats.committed_low_energy > 0);
+        assert_eq!(report, &zeroed(exp.run_program(&program, toy)));
+
+        let program = Benchmark::Gzip.build_scaled(exp.scale);
+        let cache = ArtifactCache::new();
+        let suite = matrix.run_with(&cache, &HashMap::new()).into_suite();
+        assert!(cache.compiled(compile_key).annotates_only);
+        assert_eq!(cache.plan_builds(), 1, "the source program's plan");
+        assert_eq!(cache.replay_runs(), 1, "the source program's replay");
+        let report = suite.get(Benchmark::Gzip, toy).expect("toy cell ran");
+        assert!(report.stats.committed_low_energy > 0);
+        assert_eq!(report, &zeroed(exp.run_program(&program, toy)));
     }
 }

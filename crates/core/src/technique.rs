@@ -39,6 +39,20 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 /// A descriptor is pure data; registering it (see
 /// [`TechniqueRegistry::register`]) is the *only* step needed to make a new
 /// technique runnable through the full matrix, save/load and lint paths.
+///
+/// # Annotation-only passes
+///
+/// When a technique's pass only annotates the program — its output equals
+/// its input once `iq_hint` tags and `low_energy` marks are ignored — and
+/// its resize policy ignores hints, the matrix engine does not lower or
+/// replay the compiled program. It prices the source program's plan and
+/// replay instead, recounting only `committed_low_energy` for the
+/// compiled program. The engine checks this by content each time a
+/// compile is cached ([`crate::CompiledArtifact::annotates_only`]), never
+/// by technique name or emission kind, so a pass that inserts even one
+/// hint NOOP gets its own plan and replay. A technique whose timing
+/// should depend on something else the pass writes must therefore write
+/// it into the program's timing content, not only into a tag or a mark.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechniqueSpec {
     /// Stable wire name (figure label, cell-key component, persist/codec
@@ -145,7 +159,10 @@ impl TechniqueSpec {
             // The profiled low-energy instruction encoding (Sleeba et al.,
             // see PAPERS.md): a compiler-directed re-encoding of loop-block
             // instructions, counted per commit and priced at reporting time
-            // (see `sdiq_power::low_energy`).
+            // (see `sdiq_power::low_energy`). Its pass only adds marks and
+            // policy-inert tags, and the policy is fixed, so the engine
+            // prices it from `baseline`'s plan and replay (see
+            // "Annotation-only passes" on `TechniqueSpec`).
             TechniqueSpec {
                 name: "lowen-isa",
                 pass_config: Some(PassConfig::low_energy_encoding()),

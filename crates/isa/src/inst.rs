@@ -209,6 +209,18 @@ impl Instruction {
         self
     }
 
+    /// `true` if `other` is this instruction with at most its compiler
+    /// annotations — the [`iq_hint`](Instruction::iq_hint) tag and the
+    /// [`low_energy`](Instruction::low_energy) mark — changed.
+    pub(crate) fn differs_only_in_annotations(&self, other: &Instruction) -> bool {
+        let reannotated = Instruction {
+            iq_hint: other.iq_hint,
+            low_energy: other.low_energy,
+            ..self.clone()
+        };
+        reannotated == *other
+    }
+
     /// Checks structural well-formedness of the instruction (operand shapes
     /// appropriate for the opcode). Returns a human-readable description of
     /// the first problem found.

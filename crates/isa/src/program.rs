@@ -255,6 +255,48 @@ impl Program {
         self.procedures.iter().map(|p| p.instruction_count()).sum()
     }
 
+    /// `true` if `other` is this program with at most its compiler
+    /// annotations changed — `iq_hint` tags and `low_energy` marks — and
+    /// nothing else: the same procedures, blocks, control flow and
+    /// operations in the same layout. Such a pair executes identically and
+    /// times identically under every resize policy that ignores hints. A
+    /// pass that *inserts* a hint NOOP changes the layout, so its output
+    /// never qualifies. O(static instructions).
+    pub fn differs_only_in_annotations(&self, other: &Program) -> bool {
+        let Program {
+            procedures,
+            entry,
+            name,
+        } = self;
+        *entry == other.entry
+            && *name == other.name
+            && procedures.len() == other.procedures.len()
+            && procedures.iter().zip(&other.procedures).all(|(p, q)| {
+                let Procedure {
+                    name,
+                    blocks,
+                    entry,
+                    is_library,
+                } = p;
+                *name == q.name
+                    && *entry == q.entry
+                    && *is_library == q.is_library
+                    && blocks.len() == q.blocks.len()
+                    && blocks.iter().zip(&q.blocks).all(|(a, b)| {
+                        let BasicBlock {
+                            instructions,
+                            fallthrough,
+                        } = a;
+                        *fallthrough == b.fallthrough
+                            && instructions.len() == b.instructions.len()
+                            && instructions
+                                .iter()
+                                .zip(&b.instructions)
+                                .all(|(x, y)| x.differs_only_in_annotations(y))
+                    })
+            })
+    }
+
     /// Count of special NOOP hint instructions (inserted by the compiler's
     /// NOOP technique).
     pub fn hint_noop_count(&self) -> usize {
@@ -523,6 +565,39 @@ mod tests {
             }
         }
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn annotation_only_edits_are_recognised_and_nothing_else_is() {
+        let p = two_proc_program();
+        let main = p.proc_by_name("main").unwrap();
+        assert!(p.differs_only_in_annotations(&p));
+
+        let mut annotated = p.clone();
+        for block in &mut annotated.proc_mut(main).blocks {
+            for inst in &mut block.instructions {
+                inst.iq_hint = Some(7);
+                inst.low_energy = true;
+            }
+        }
+        assert!(p.differs_only_in_annotations(&annotated));
+        assert!(annotated.differs_only_in_annotations(&p));
+
+        // An inserted hint NOOP changes the layout.
+        let mut noop = p.clone();
+        noop.proc_mut(main)
+            .block_mut(BlockId(0))
+            .instructions
+            .insert(0, Instruction::hint_noop(7));
+        assert!(!p.differs_only_in_annotations(&noop));
+
+        // So does any change to an operation, or to control flow.
+        let mut imm = p.clone();
+        imm.proc_mut(main).block_mut(BlockId(0)).instructions[0].imm = Some(1);
+        assert!(!p.differs_only_in_annotations(&imm));
+        let mut flow = p.clone();
+        flow.proc_mut(main).block_mut(BlockId(0)).fallthrough = Some(BlockId(2));
+        assert!(!p.differs_only_in_annotations(&flow));
     }
 
     #[test]

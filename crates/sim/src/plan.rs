@@ -93,6 +93,11 @@ pub struct ExecPlan {
     /// Every activity counter whose final value is a pure function of the
     /// plan inputs, pre-totalled; the run adds only the dynamic counters.
     baked: ActivityStats,
+    /// Trace instances of each static instruction, in layout order
+    /// (procedure, block, index — [`Program::iter_locs`] order). Lets
+    /// [`ExecPlan::low_energy_commits`] count the commits of any program
+    /// with this layout, not just the one the plan was lowered from.
+    commit_counts: Vec<u32>,
 }
 
 /// One instruction's fully decoded static side, packed to 12 bytes so the
@@ -122,6 +127,19 @@ impl ExecPlan {
     /// same contract as [`crate::Simulator::new`]).
     pub fn build(config: SimConfig, program: &Program, trace: &Trace) -> Self {
         let len = trace.committed.len();
+        // Layout index of each block's first instruction, flattened:
+        // block `b` of procedure `p` starts at
+        // `block_starts[first_block[p] + b]`.
+        let mut first_block = Vec::with_capacity(program.procedures.len());
+        let mut block_starts = Vec::new();
+        let mut static_len = 0;
+        for proc in &program.procedures {
+            first_block.push(block_starts.len());
+            for block in &proc.blocks {
+                block_starts.push(static_len);
+                static_len += block.instructions.len();
+            }
+        }
         let mut plan = ExecPlan {
             config,
             workload: program.name.clone(),
@@ -135,6 +153,7 @@ impl ExecPlan {
                 fp_rf_total_banks: config.fp_rf.banks() as u64,
                 ..ActivityStats::default()
             },
+            commit_counts: vec![0; static_len],
         };
 
         // The front-end models evolve over purely static inputs, in strict
@@ -150,6 +169,7 @@ impl ExecPlan {
         // instruction slice is looked up only on block changes.
         let mut cached_block: Option<(sdiq_isa::ProcId, sdiq_isa::BlockId)> = None;
         let mut block_insts: &[sdiq_isa::Instruction] = &[];
+        let mut block_start = 0;
 
         for (idx, dyn_inst) in trace.committed.iter().enumerate() {
             let loc = dyn_inst.loc;
@@ -160,8 +180,10 @@ impl ExecPlan {
                     .instructions
                     .as_slice();
                 cached_block = Some((loc.proc, loc.block));
+                block_start = block_starts[first_block[loc.proc.0] + loc.block.0];
             }
             let inst = &block_insts[loc.index];
+            plan.commit_counts[block_start + loc.index] += 1;
             let addr = dyn_inst.addr;
             let mut flags: u16 = 0;
 
@@ -227,9 +249,6 @@ impl ExecPlan {
                 plan.baked.issued += 1;
                 plan.baked.iq_writes += 1;
                 plan.baked.iq_reads += 1;
-                if inst.low_energy {
-                    plan.baked.committed_low_energy += 1;
-                }
                 if let Some(dest) = inst.dest {
                     plan.baked.wakeup_broadcasts += 1;
                     match dest.class() {
@@ -274,7 +293,40 @@ impl ExecPlan {
         // and the broadcast count is static, so the total is too.
         plan.baked.wakeup_comparisons_full =
             plan.baked.wakeup_broadcasts * 2 * config.iq.entries as u64;
+        plan.baked.committed_low_energy = plan.low_energy_commits(program);
         plan
+    }
+
+    /// Committed instructions of `program` that carry the low-energy
+    /// encoding mark, counted over this plan's trace: the sum of the trace
+    /// instances of every marked non-hint static instruction (hint NOOPs
+    /// never commit). This is the one definition of
+    /// [`ActivityStats::committed_low_energy`]: the plan's own baked
+    /// counter is this function of its source program. Because the mark
+    /// never changes timing, it also counts exactly for any program that
+    /// [differs from the source only in
+    /// annotations](Program::differs_only_in_annotations), which is how a
+    /// low-energy compile can price the source program's plan and replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` has a different number of static instructions
+    /// from the plan's source.
+    pub fn low_energy_commits(&self, program: &Program) -> u64 {
+        assert_eq!(
+            program.static_instruction_count(),
+            self.commit_counts.len(),
+            "program layout differs from the plan's source"
+        );
+        program
+            .procedures
+            .iter()
+            .flat_map(|proc| &proc.blocks)
+            .flat_map(|block| &block.instructions)
+            .zip(&self.commit_counts)
+            .filter(|(inst, _)| inst.low_energy && !inst.is_hint_noop())
+            .map(|(_, &count)| u64::from(count))
+            .sum()
     }
 
     /// Number of dynamic instructions the plan covers.
@@ -445,7 +497,7 @@ impl<'p> PlanSimulator<'p> {
         };
         // Dense register universe the consumer index must cover
         // (`index << 1 | class`); only the adaptive policy observes age
-        // ranks, so only it pays for the Fenwick tree.
+        // ranks, so only it maintains the queue head they count from.
         let dense_regs = 2 * config
             .int_rf
             .regs_per_class

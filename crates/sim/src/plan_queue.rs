@@ -84,7 +84,8 @@ pub(crate) struct PlanQueue {
 impl PlanQueue {
     /// Creates an empty queue. `dense_regs` is the size of the dense
     /// physical-register universe the consumer index must cover;
-    /// `track_age` enables the Fenwick age tree ([`PlanQueue::age_rank`]).
+    /// `track_age` maintains the queue head that [`PlanQueue::age_rank`]
+    /// counts from (ranks are a popcount over the occupancy bitmask).
     pub(crate) fn new(
         capacity: usize,
         bank_size: usize,

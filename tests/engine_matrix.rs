@@ -113,21 +113,24 @@ const BUILTINS: [Technique; 8] = [
     Technique::LowenIsa,
 ];
 
-/// Per benchmark the eight techniques need six replays: `baseline`,
-/// `nonEmpty` and `way-memo` share the fixed-policy replay of the source
-/// program; `noop`, `extension`, `improved` and `lowen-isa` each replay
-/// their own compiled program; `abella` replays the source program under
-/// its adaptive policy. Sharing must not change a single byte: every cell
-/// equals the one-shot `Experiment::run_program` result, once that
-/// report's wall-clock compile durations are zeroed as the artifact cache
-/// zeroes them.
+/// Per benchmark the eight techniques need four plans and five replays.
+/// `baseline`, `nonEmpty`, `way-memo` and `lowen-isa` share the
+/// fixed-policy replay of the source program: `lowen-isa`'s compile only
+/// adds low-energy marks and policy-inert tags, so it replays as its
+/// source does. `noop`, `extension` and `improved` each replay their own
+/// compiled program under the hint policy, and `abella` replays the
+/// source program under its adaptive policy. Sharing must not change a
+/// single byte: every cell equals the one-shot `Experiment::run_program`
+/// result, once that report's wall-clock compile durations are zeroed as
+/// the artifact cache zeroes them.
 #[test]
 fn each_plan_and_policy_is_replayed_exactly_once() {
     let experiment = Experiment {
         scale: 0.02,
         ..Experiment::paper()
     };
-    let replays_per_variant = 6 * Benchmark::ALL.len() as u64;
+    let plans_per_variant = 4 * Benchmark::ALL.len() as u64;
+    let replays_per_variant = 5 * Benchmark::ALL.len() as u64;
     let matrix = Matrix::new(&experiment)
         .benchmarks(&Benchmark::ALL)
         .techniques(&BUILTINS);
@@ -136,6 +139,7 @@ fn each_plan_and_policy_is_replayed_exactly_once() {
         let cache = ArtifactCache::new();
         let sweep = matrix.clone().jobs(jobs).run_with(&cache, &HashMap::new());
         assert_eq!(sweep.suite(0).len(), 88);
+        assert_eq!(cache.plan_builds(), plans_per_variant, "jobs({jobs})");
         assert_eq!(cache.replay_runs(), replays_per_variant, "jobs({jobs})");
         suites.push(sweep.into_suite());
     }
@@ -147,6 +151,7 @@ fn each_plan_and_policy_is_replayed_exactly_once() {
         .sweep_iq_entries(&[48])
         .jobs(4)
         .run_with(&cache, &HashMap::new());
+    assert_eq!(cache.plan_builds(), 2 * plans_per_variant);
     assert_eq!(cache.replay_runs(), 2 * replays_per_variant);
     assert_eq!(swept.suite(0), &suites[0]);
 

@@ -182,3 +182,43 @@ proptest! {
         }
     }
 }
+
+/// `ExecPlan::low_energy_commits` is the one definition of the
+/// `committed_low_energy` counter. Counted over the *source* program's
+/// plan, a low-energy compile's marks give exactly the counter its own
+/// plan bakes in and the interpreted oracle counts, on every benchmark.
+/// This is what lets the engine price a `lowen-isa` cell from the source
+/// program's replay.
+#[test]
+fn low_energy_commits_over_the_source_plan_match_the_compiled_program() {
+    use sdiq::workloads::Benchmark;
+    let config = SimConfig::hpca2005();
+    for benchmark in Benchmark::ALL {
+        let source = benchmark.build_scaled(0.02);
+        let lowen = CompilerPass::new(PassConfig::low_energy_encoding())
+            .run(&source)
+            .program;
+        assert!(source.differs_only_in_annotations(&lowen), "{benchmark}");
+        let source_trace = Executor::new(&source).run(2_000_000).unwrap();
+        let source_plan = ExecPlan::build(config, &source, &source_trace);
+        assert_eq!(source_plan.baked_stats().committed_low_energy, 0);
+
+        let lowen_trace = Executor::new(&lowen).run(2_000_000).unwrap();
+        let lowen_plan = ExecPlan::build(config, &lowen, &lowen_trace);
+        let interpreted = Simulator::new(config, &lowen, &lowen_trace, ResizePolicy::Fixed)
+            .run()
+            .unwrap();
+
+        let counted = source_plan.low_energy_commits(&lowen);
+        assert!(counted > 0, "{benchmark}: loop blocks are marked");
+        assert_eq!(
+            counted,
+            lowen_plan.baked_stats().committed_low_energy,
+            "{benchmark}: the compiled program's own plan"
+        );
+        assert_eq!(
+            counted, interpreted.stats.committed_low_energy,
+            "{benchmark}: the interpreted oracle"
+        );
+    }
+}
